@@ -6,6 +6,7 @@ heavyweight OR surrogate records the scale-out behaviour of the branch
 partitioning into results/dist.json.
 """
 import json
+import os
 import time
 
 import pytest
@@ -20,21 +21,24 @@ from repro.graphs.edgelist import edges_df
 def or_edges(spark):
     df = edges_df(spark, load_edges("OR", "bench")).cache()
     df.count()
+    # Start the Python workers before anything is timed.
+    mce_distributed(spark, df, "HBBMC++")
     return df
 
 
 def test_distributed_hbbmcpp_scaleout(benchmark, spark, or_edges):
-    """One round of OR through the Spark job with 1 partition vs all cores;
-    the recorded pair shows the branch partitioning actually parallelizes
-    the kernel work."""
+    """One round of OR through the Spark job with 1 partition vs the default
+    (one per core); the recorded pair shows the branch partitioning actually
+    parallelizes the kernel work."""
 
     def run_pair():
         t0 = time.perf_counter()
         serial = mce_distributed(spark, or_edges, "HBBMC++", num_partitions=1)
         t1 = time.perf_counter()
-        parallel = mce_distributed(spark, or_edges, "HBBMC++", num_partitions=64)
+        parallel = mce_distributed(spark, or_edges, "HBBMC++")
         t2 = time.perf_counter()
         assert serial.n_cliques == parallel.n_cliques
+        assert serial.stats.as_dict() == parallel.stats.as_dict()
         return dict(
             dataset="OR",
             algorithm="HBBMC++",
@@ -42,6 +46,8 @@ def test_distributed_hbbmcpp_scaleout(benchmark, spark, or_edges):
             serial_s=round(t1 - t0, 3),
             parallel_s=round(t2 - t1, 3),
             parallelism=spark.sparkContext.defaultParallelism,
+            nproc=os.cpu_count(),
+            stats=parallel.stats.as_dict(),
         )
 
     row = benchmark.pedantic(run_pair, rounds=1, iterations=1)
@@ -52,7 +58,7 @@ def test_distributed_hbbmcpp_scaleout(benchmark, spark, or_edges):
 
 def test_distributed_rdegen(benchmark, spark, or_edges):
     res = benchmark.pedantic(
-        lambda: mce_distributed(spark, or_edges, "RDegen", num_partitions=64),
+        lambda: mce_distributed(spark, or_edges, "RDegen"),
         rounds=1,
         iterations=1,
     )

@@ -231,10 +231,12 @@ def main() -> None:
             "The whole algorithm suite also runs as a Spark job partitioned by root"
             " branch (`repro.dist.mce`; `tests/test_dist_mce.py` asserts identical"
             " clique sets to the local runners for every framework family and any"
-            f" partitioning). On the heavyweight {dist['dataset']} surrogate"
+            " partitioning, and identical counters across partition counts). On the"
+            f" heavyweight {dist['dataset']} surrogate"
             f" ({dist['n_cliques']:,} cliques), {dist['algorithm']} takes"
             f" **{dist['serial_s']} s on 1 partition vs {dist['parallel_s']} s on"
-            f" {dist['parallelism']} cores** ({speedup:.1f}× scale-out;"
+            f" {dist['parallelism']} partitions** ({speedup:.1f}× scale-out on a"
+            f" {dist['nproc']}-core machine, one kernel task per partition;"
             " `benchmarks/bench_dist.py`). The non-parallel remainder is the"
             " driver-side GR + exact truss-ordering peel and the collection of the"
             " clique DataFrame — the same O(δm) preprocessing term the paper's"

@@ -9,15 +9,16 @@ Xu et al. [17]):
    frameworks. Orderings are inherently sequential peels; their output plus
    the reduced adjacency is broadcast to every task.
 2. Root branches — one per truss-ordered edge (hybrid/edge) or one per
-   degeneracy-ordered vertex (vertex) — become rows of a DataFrame. They are
-   salted round-robin in descending order of estimated cost (the candidate
-   count) so every partition gets a balanced mix of heavy and light
-   branches.
-3. ``groupBy(salt).applyInPandas`` runs the sequential kernel of
-   ``repro.core`` on each group's branches and emits one row per maximal
-   clique (``kind='clique'``, payload = comma-joined vertex ids) plus one
-   counter row per group (``kind='stats'``, payload = JSON) — strings, so
-   results stay orderable/joinable.
+   degeneracy-ordered vertex (vertex) — are sorted by descending estimated
+   cost (the candidate count) and shipped in the same broadcast. Salt group
+   ``s`` of ``n`` owns the slice ``roots[s::n]``: round-robin over the cost
+   order, so every group gets a balanced mix of heavy and light branches.
+3. ``spark.range(n, numPartitions=n).mapInPandas`` runs one task per salt
+   group ``s`` (its ``id``): the sequential kernel of ``repro.core`` on its
+   slice, emitting one row per maximal clique (``kind='clique'``, payload =
+   comma-joined vertex ids) plus one counter row (``kind='stats'``, payload
+   = JSON) — strings, so results stay orderable/joinable. No shuffle on
+   purpose: AQE coalesces a tiny ``groupBy(salt)`` exchange into one task.
 4. The driver adds the branches it owns (GR cliques, root isolated
    vertices) and splits the result into a clique DataFrame and aggregated
    ``BranchStats``.
@@ -37,7 +38,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..core.hbbmc import ALGORITHMS, _ebb
-from ..core.kernels import Enumerator, kernel_fn
+from ..core.kernels import Enumerator, Pair, kernel_fn
 from ..core.localgraph import LocalGraph
 from ..core.ordering import degeneracy_order, edge_order_rank
 from ..core.reduction import reduce_graph
@@ -66,14 +67,12 @@ def _vertex_branches(g: LocalGraph) -> tuple[list[tuple[int, int]], dict]:
     return branches, {"pos": pos}
 
 
-def _edge_branches(g: LocalGraph, edge_order: str) -> tuple[list[tuple[int, int]], dict]:
-    """Root branches for hybrid/edge frameworks: (edge rank, cost estimate =
-    min endpoint degree) plus the rank map for the workers."""
+def _edge_branches(g: LocalGraph, edge_order: str) -> tuple[list[tuple[Pair, int]], dict]:
+    """Root branches for hybrid/edge frameworks: (edge, cost estimate = min
+    endpoint degree) plus the rank map for the workers."""
     rank = edge_order_rank(g, edge_order)
     adj = g.adj
-    branches = []
-    for (u, v), r in rank.items():
-        branches.append((r, min(len(adj[u]), len(adj[v]))))
+    branches = [(e, min(len(adj[e[0]]), len(adj[e[1]]))) for e in rank]
     return branches, {"rank": rank}
 
 
@@ -120,6 +119,9 @@ def mce_distributed(
     stats.root_branches = len(branches)
 
     sc = spark.sparkContext
+    n_parts = num_partitions or min(sc.defaultParallelism, max(1, len(branches)))
+    # Group s runs roots[s::n_parts]: round-robin over descending cost.
+    ordered = sorted(branches, key=lambda b: (-b[1], b[0]))
     bc = sc.broadcast(
         {
             "adj": g2.adj,
@@ -128,17 +130,12 @@ def mce_distributed(
             "kernel": kernel,
             "et_t": et_t,
             "d": d,
+            "roots": [b for b, _ in ordered],
             **extra,
         }
     )
 
-    n_parts = num_partitions or min(64, max(1, len(branches)))
-    # Salt round-robin by descending cost estimate for balance.
-    ordered = sorted(branches, key=lambda bc_: (-bc_[1], bc_[0]))
-    rows = [(bid, i % n_parts) for i, (bid, _) in enumerate(ordered)]
-    branch_df = spark.createDataFrame(rows, "branch_id long, salt int")
-
-    def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    def run_group(s: int) -> pd.DataFrame:
         conf = bc.value
         adj = conf["adj"]
         enum = Enumerator(
@@ -149,12 +146,12 @@ def mce_distributed(
             collect=True,
         )
         kfn = kernel_fn(enum, conf["kernel"])
+        roots = conf["roots"][s::n_parts]
         if conf["framework"] in ("hybrid", "edge"):
             rank = conf["rank"]
-            by_rank = {r: e for e, r in rank.items()}
             depth_limit = None if conf["framework"] == "edge" else conf["d"]
-            for r in sorted(pdf["branch_id"].tolist()):
-                u, v = by_rank[r]
+            for u, v in roots:
+                r = rank[(u, v)]
                 ca, cb = adj[u], adj[v]
                 common = ca & cb
                 C = {
@@ -173,7 +170,7 @@ def mce_distributed(
                 _ebb(enum, [u, v], C, X, r, 1, depth_limit, kfn)
         else:
             pos = conf["pos"]
-            for v in sorted(pdf["branch_id"].tolist()):
+            for v in roots:
                 i = pos[v]
                 C = {u for u in adj[v] if pos[u] > i}
                 X = {u for u in adj[v] if pos[u] < i}
@@ -194,9 +191,12 @@ def mce_distributed(
         )
         return pd.concat([out, srow], ignore_index=True)
 
+    def run_groups(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        return (run_group(s) for pdf in batches for s in pdf["id"].tolist())
+
     result = (
-        branch_df.groupBy("salt")
-        .applyInPandas(run_group, schema=_RESULT_SCHEMA)
+        spark.range(n_parts, numPartitions=n_parts)
+        .mapInPandas(run_groups, schema=_RESULT_SCHEMA)
         .localCheckpoint(eager=True)
     )
     for payload in result.where(F.col("kind") == "stats").select("payload").collect():
@@ -215,5 +215,6 @@ def mce_distributed(
         cliques_df = worker_cliques.unionAll(driver_df)
     else:
         cliques_df = worker_cliques
-    n = cliques_df.count()
+    # Every emitted row is counted (MceRun.n_cliques' identity): no result pass.
+    n = stats.cliques + stats.gr_cliques
     return DistMceResult(cliques_df=cliques_df, stats=stats, n_cliques=n)

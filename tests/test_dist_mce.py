@@ -55,6 +55,7 @@ def test_distributed_isolated_vertices(spark):
     edf = edges_df(spark, e)
     res = mce_distributed(spark, edf, "HBBMC++")
     assert _dist_cliques(res) == [(0, 1, 2), (10, 11)]
+    assert res.n_cliques == 2
 
 
 def test_distributed_dataset_surrogate(spark):
@@ -67,7 +68,23 @@ def test_distributed_dataset_surrogate(spark):
 def test_distributed_partition_count_invariance(spark):
     e = er_edges(40, 160, seed=9)
     edf = edges_df(spark, e)
-    a = mce_distributed(spark, edf, "HBBMC++", num_partitions=2)
-    b = mce_distributed(spark, edf, "HBBMC++", num_partitions=16)
-    assert _dist_cliques(a) == _dist_cliques(b)
-    assert a.stats.calls == b.stats.calls
+    runs = [mce_distributed(spark, edf, "HBBMC++", num_partitions=n) for n in (1, 2, 16)]
+    first = runs[0]
+    for res in runs[1:]:
+        assert _dist_cliques(res) == _dist_cliques(first)
+        assert res.stats.as_dict() == first.stats.as_dict()
+        assert res.n_cliques == first.n_cliques
+
+
+def test_distributed_one_task_per_salt_group(spark, social_pair):
+    """The kernel stage runs one partition per salt group even with adaptive
+    query execution on: a shuffle there would be coalesced into one task.
+    With GR off the driver owns no cliques, so the clique DataFrame is the
+    kernel stage's output alone."""
+    assert spark.conf.get("spark.sql.adaptive.enabled") == "true"
+    edf, g = social_pair
+    res = mce_distributed(spark, edf, "HBBMC++", num_partitions=3, gr=False)
+    assert res.cliques_df.rdd.getNumPartitions() == 3
+    ref = reference_mce(g)
+    assert _dist_cliques(res) == ref
+    assert res.n_cliques == len(ref)
