@@ -3,7 +3,8 @@
 Times include Spark scheduling overhead (dominant at surrogate scale; see
 EXPERIMENTS.md "Distributed execution"). The serial-vs-parallel pair on the
 heavyweight OR surrogate records the scale-out behaviour of the branch
-partitioning into results/dist.json.
+partitioning into results/dist.json, next to the in-process runner's
+BranchStats that both Spark runs must equal.
 """
 import json
 import os
@@ -12,8 +13,9 @@ import time
 import pytest
 
 from benchmarks._common import RESULTS
+from repro.core.hbbmc import run_named
 from repro.dist.mce import mce_distributed
-from repro.graphs.datasets import load_edges
+from repro.graphs.datasets import load_edges, load_local
 from repro.graphs.edgelist import edges_df
 
 
@@ -30,6 +32,7 @@ def test_distributed_hbbmcpp_scaleout(benchmark, spark, or_edges):
     """One round of OR through the Spark job with 1 partition vs the default
     (one per core); the recorded pair shows the branch partitioning actually
     parallelizes the kernel work."""
+    local = run_named(load_local("OR", "bench"), "HBBMC++", collect=False).stats.as_dict()
 
     def run_pair():
         t0 = time.perf_counter()
@@ -38,7 +41,7 @@ def test_distributed_hbbmcpp_scaleout(benchmark, spark, or_edges):
         parallel = mce_distributed(spark, or_edges, "HBBMC++")
         t2 = time.perf_counter()
         assert serial.n_cliques == parallel.n_cliques
-        assert serial.stats.as_dict() == parallel.stats.as_dict()
+        assert serial.stats.as_dict() == parallel.stats.as_dict() == local
         return dict(
             dataset="OR",
             algorithm="HBBMC++",
@@ -48,6 +51,7 @@ def test_distributed_hbbmcpp_scaleout(benchmark, spark, or_edges):
             parallelism=spark.sparkContext.defaultParallelism,
             nproc=os.cpu_count(),
             stats=parallel.stats.as_dict(),
+            local_stats=local,
         )
 
     row = benchmark.pedantic(run_pair, rounds=1, iterations=1)

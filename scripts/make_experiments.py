@@ -229,9 +229,10 @@ def main() -> None:
         parts.append(
             "## Distributed execution (the repro's Spark layer)\n\n"
             "The whole algorithm suite also runs as a Spark job partitioned by root"
-            " branch (`repro.dist.mce`; `tests/test_dist_mce.py` asserts identical"
-            " clique sets to the local runners for every framework family and any"
-            " partitioning, and identical counters across partition counts). On the"
+            " branch (`repro.dist.mce`; it runs the local runner's root-branch plan,"
+            " and `tests/test_dist_mce.py` asserts identical clique sets and"
+            " BranchStats to the local runner for every named algorithm, and"
+            " identical counters across partition counts). On the"
             f" heavyweight {dist['dataset']} surrogate"
             f" ({dist['n_cliques']:,} cliques), {dist['algorithm']} takes"
             f" **{dist['serial_s']} s on 1 partition vs {dist['parallel_s']} s on"
@@ -352,7 +353,7 @@ FOOTER = """## Summary of shape reproduction
 | d=1 (edge-oriented only at the root) is optimal | ✅ fastest on ~all datasets; steep growth with d on clique-rich graphs |
 | Truss ordering beats dgn/mdg edge orderings | ⚠️ the τ branch-width guarantee is verified and clique sets are identical, but min-degree ordering yields fewer *average* branches on these surrogates, so the paper's time ranking inverts (Table VI note) |
 | ET ratio b0/b below 100% yet ET removes most branches | ✅ qualitatively; absolute ratios are graph-specific and differ (Table V note) |
-| Distributed enumeration (the repro's Spark layer) emits the same cliques | ✅ `tests/test_dist_mce.py`, any partitioning |
+| Distributed enumeration (the repro's Spark layer) emits the same cliques and counters | ✅ `tests/test_dist_mce.py`, every named algorithm, any partitioning |
 """
 
 

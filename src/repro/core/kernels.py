@@ -135,11 +135,30 @@ class Enumerator:
         return Cw, Xn | (gz - Cw)
 
     # -- early termination -------------------------------------------------
+    def _early_term(self, S: list[int], C: set[int], X: set[int], min_deg: int) -> bool:
+        """Early termination (Section IV) of a branch whose candidates have
+        minimum degree ``min_deg`` inside C. A t-plex candidate graph counts
+        towards Table V's b; the branch is finished here (b0) only when the
+        exclusion graph is empty and C is ghost-free. The neighbour sets are
+        built only in that case, so ET adds no per-call cost on ordinary
+        branches. Returns whether the branch was finished."""
+        if not self.et_t or min_deg < len(C) - self.et_t:
+            return False
+        self.stats.et_plex += 1
+        if X:
+            return False
+        adj = self.adj
+        nbr_in_c = {v: C & adj[v] for v in C}
+        if not self._ghost_free(C, nbr_in_c):
+            return False
+        self.stats.et_applied += 1
+        self._et_emit(S, C, nbr_in_c)
+        return True
+
     def _et_emit(self, S: list[int], C: set[int], nbr_in_c: dict[int, set[int]]) -> None:
-        """Early termination (Section IV): the candidate graph is a t-plex
-        (verified ghost-free) and the exclusion graph is empty — enumerate
-        the branch's maximal cliques directly from the inverse graph.
-        Callers count the et_plex/et_applied statistics."""
+        """Enumerate the maximal cliques of a branch whose candidate graph is
+        a ghost-free t-plex and whose exclusion graph is empty directly from
+        the inverse graph. Callers count the et_plex/et_applied statistics."""
         nonadj = {v: sorted(C - nbr_in_c[v] - {v}) for v in C}
         base = list(S)
         for part in enumerate_tplex(sorted(C), nonadj):
@@ -147,8 +166,7 @@ class Enumerator:
 
     # -- kernel: tomita (classic pivot) ------------------------------------
     def vbb_tomita(self, S: list[int], C: set[int], X: set[int]) -> None:
-        st = self.stats
-        st.calls += 1
+        self.stats.calls += 1
         if not C:
             if not X:
                 self.emit(S)
@@ -157,7 +175,6 @@ class Enumerator:
             self._single_candidate(S, C, X)
             return
         adj = self.adj
-        want_et = self.et_t > 0
         best_p, best_cnt = -1, -1
         min_deg = len(C)
         for v in C:
@@ -166,18 +183,8 @@ class Enumerator:
                 best_cnt, best_p = cnt, v
             if cnt < min_deg:
                 min_deg = cnt
-        if want_et and min_deg >= len(C) - self.et_t:
-            # t-plex branch (counted towards Table V's b); apply ET only when
-            # the exclusion graph is empty and C is ghost-free (second pass —
-            # the sets are materialized only here, so ET adds no per-call
-            # cost on ordinary branches).
-            st.et_plex += 1
-            if not X:
-                nbr_in_c = {v: C & adj[v] for v in C}
-                if self._ghost_free(C, nbr_in_c):
-                    st.et_applied += 1
-                    self._et_emit(S, C, nbr_in_c)
-                    return
+        if self._early_term(S, C, X, min_deg):
+            return
         for x in X:
             cnt = len(C & adj[x])
             if cnt > best_cnt or (cnt == best_cnt and x < best_p):
@@ -186,8 +193,7 @@ class Enumerator:
 
     # -- kernel: ref (Naudé-style) -----------------------------------------
     def vbb_ref(self, S: list[int], C: set[int], X: set[int]) -> None:
-        st = self.stats
-        st.calls += 1
+        self.stats.calls += 1
         if not C:
             if not X:
                 self.emit(S)
@@ -205,14 +211,8 @@ class Enumerator:
                     best_cnt, best_p = cnt, v
                 if cnt < min_deg:
                     min_deg = cnt
-            if min_deg >= len(C) - self.et_t:
-                st.et_plex += 1
-                if not X:
-                    nbr_in_c = {v: C & adj[v] for v in C}
-                    if self._ghost_free(C, nbr_in_c):
-                        st.et_applied += 1
-                        self._et_emit(S, C, nbr_in_c)
-                        return
+            if self._early_term(S, C, X, min_deg):
+                return
         else:
             top = len(C) - 1
             for v in sorted(C):
@@ -280,8 +280,7 @@ class Enumerator:
 
     # -- kernel: fac (adaptive cheap pivot) --------------------------------
     def vbb_fac(self, S: list[int], C: set[int], X: set[int]) -> None:
-        st = self.stats
-        st.calls += 1
+        self.stats.calls += 1
         if not C:
             if not X:
                 self.emit(S)
@@ -291,19 +290,9 @@ class Enumerator:
             return
         adj = self.adj
         if self.et_t > 0:
-            min_deg = len(C)
-            for v in C:
-                cnt = len(C & adj[v])
-                if cnt < min_deg:
-                    min_deg = cnt
-            if min_deg >= len(C) - self.et_t:
-                st.et_plex += 1
-                if not X:
-                    nbr_in_c = {v: C & adj[v] for v in C}
-                    if self._ghost_free(C, nbr_in_c):
-                        st.et_applied += 1
-                        self._et_emit(S, C, nbr_in_c)
-                        return
+            min_deg = min(len(C & adj[v]) for v in C)
+            if self._early_term(S, C, X, min_deg):
+                return
         Cc, Xc = set(C), set(X)
         v0 = min(Cc)
         P = Cc - adj[v0]

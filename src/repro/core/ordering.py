@@ -78,8 +78,9 @@ def truss_order(g: LocalGraph) -> TrussResult:
     """Greedy min-support edge peel, O(m * delta + m log m).
 
     ``support(e)`` = number of common neighbors of e's endpoints in the graph
-    induced by the not-yet-peeled edges. Ties break on the (u, v) pair so the
-    ordering is deterministic. ``truss[e]`` is the classic truss number
+    induced by the not-yet-peeled edges. Ties break first-in first-out
+    (below), so the order depends only on the edge set, not on the order
+    the graph was built in. ``truss[e]`` is the classic truss number
     (max-support-so-far at removal + 2), matching the distributed
     decomposition in ``repro.analytics.truss``.
     """
@@ -91,8 +92,9 @@ def truss_order(g: LocalGraph) -> TrussResult:
     for u, v in g.edges():
         sup[u * span + v] = len(adj[u] & adj[v])
     # Bucket queue over support values; each bucket is an insertion-ordered
-    # dict used as a set, so peeling is O(m + #triangles) and deterministic
-    # (edges enter buckets in sorted order and leave FIFO).
+    # dict used as a set, so peeling is O(m + #triangles) and deterministic:
+    # edges enter buckets in sorted order, move buckets in sorted order of
+    # the peeled edge's common neighbours, and leave FIFO.
     max_s = max(sup.values(), default=0)
     buckets: list[dict[int, None]] = [dict() for _ in range(max_s + 1)]
     for e in sorted(sup):
@@ -119,7 +121,7 @@ def truss_order(g: LocalGraph) -> TrussResult:
         # Peel e: every remaining triangle (u, v, w) loses it, so the
         # supports of (u, w) and (v, w) each drop by one.
         au, av = adj[u], adj[v]
-        for w in au & av:
+        for w in sorted(au & av):
             f1 = u * span + w if u < w else w * span + u
             f2 = v * span + w if v < w else w * span + v
             for f in (f1, f2):

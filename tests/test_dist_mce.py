@@ -1,8 +1,12 @@
 """The distributed root-branch-partitioned MCE job emits exactly the local
-runner's clique set, for every framework family."""
-import pytest
+runner's clique set and counters, for every named algorithm."""
+import re
 
-from repro.core.hbbmc import run_named
+import pytest
+from pyspark.sql import functions as F
+
+from repro.core.hbbmc import ALGORITHMS, run_named
+from repro.core.localgraph import LocalGraph
 from repro.dist.mce import mce_distributed
 from repro.graphs.datasets import load_edges, load_local
 from repro.graphs.edgelist import edges_df
@@ -23,13 +27,40 @@ def social_pair(spark):
     return edges_df(spark, e).cache(), to_local(e)
 
 
-@pytest.mark.parametrize(
-    "alg", ["HBBMC++", "HBBMC+", "RRef", "RDegen", "RRcd", "RFac", "VBBMC-dgn", "HBBMC-dgn"]
-)
+@pytest.mark.parametrize("alg", sorted(ALGORITHMS))
 def test_distributed_matches_local(spark, social_pair, alg):
+    """Same root branches, same counters: the initial-branch call, the
+    global root of RRef and every kernel counter agree."""
     edf, g = social_pair
     res = mce_distributed(spark, edf, alg, num_partitions=4)
-    assert _dist_cliques(res) == run_named(g, alg).cliques
+    local = run_named(g, alg)
+    assert _dist_cliques(res) == local.cliques
+    assert res.stats.as_dict() == local.stats.as_dict()
+    assert res.n_cliques == local.n_cliques
+
+
+@pytest.mark.parametrize(
+    "alg,overrides",
+    [
+        ("NOPE", {}),
+        ("HBBMC++", {"framework": "nope"}),
+        ("RDegen", {"root": "nope"}),
+        ("HBBMC++", {"kernel": "nope"}),
+        ("HBBMC++", {"d": 0}),
+        ("HBBMC++", {"d": None}),
+    ],
+)
+def test_distributed_rejects_bad_config_on_driver(spark, alg, overrides):
+    """An invalid configuration raises run_named's ValueError before any
+    Spark job runs: reading this edge DataFrame would fail."""
+    with pytest.raises(ValueError) as local:
+        run_named(LocalGraph.from_edges([(0, 1)]), alg, **overrides)
+    unreadable = spark.range(1).select(
+        F.raise_error(F.lit("edges were read")).cast("long").alias("src"),
+        F.lit(1).cast("long").alias("dst"),
+    )
+    with pytest.raises(ValueError, match=re.escape(str(local.value))):
+        mce_distributed(spark, unreadable, alg, **overrides)
 
 
 def test_distributed_depth_two(spark, social_pair):

@@ -1,4 +1,6 @@
 """Tests for the exact local peels: degeneracy and truss orderings."""
+import random
+
 import pytest
 
 from repro.core.localgraph import LocalGraph
@@ -152,3 +154,13 @@ def test_orders_are_deterministic():
     g = to_local(ba_edges(60, 3, 2), 60)
     assert truss_order(g).order == truss_order(g).order
     assert degeneracy_order(g).order == degeneracy_order(g).order
+
+
+def test_truss_rank_ignores_edge_insertion_order():
+    """The peel depends on the edge set only: the same graph built from
+    permuted edge lists (as a Spark collect may return them) gets the same
+    rank, so counters cannot depend on how the edges arrived."""
+    edges = [(int(u), int(v)) for u, v in er_edges(40, 200, 1)]
+    want = truss_order(LocalGraph.from_edges(edges)).rank
+    for perm in [edges[::-1]] + [random.Random(s).sample(edges, len(edges)) for s in range(3)]:
+        assert truss_order(LocalGraph.from_edges(perm)).rank == want
