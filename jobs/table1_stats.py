@@ -1,9 +1,9 @@
 """spark-submit entrypoint reproducing Table I: dataset statistics (n, m, delta, tau, rho, condition).
 
-Usage: python jobs/table1_stats.py [--scale bench|test] [--mode local|dist]
-       [--datasets NA FB ...] [--markdown]
+Usage: python jobs/table1_stats.py [--scale bench|test] [--datasets NA FB ...]
+       [--markdown]
 """
-from _common import emit, get_spark, parse_args
+from _common import emit, parse_args
 
 from repro.tables import table1
 

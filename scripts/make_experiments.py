@@ -299,13 +299,16 @@ def t5_narrative(t5, mono_calls, time_gain) -> str:
         return 100 * (1 - r["t3_s"] / r["t0_s"])
 
     heavy = {r["dataset"]: gain(r) for r in t5 if r["dataset"] in ("DG", "OR")}
-    heavy_txt = ", ".join(f"{k} −{v:.0f}%" for k, v in heavy.items())
+    heavy_txt = ", ".join(
+        f"{k} {'−' if v >= 0 else '+'}{abs(v):.0f}%" for k, v in heavy.items()
+    )
     return (
         f"\n\n**Shape: #calls decreases monotonically in t on {mono_calls}/16**"
         f" datasets (paper: 16/16), and t=3 beats t=0 on wall time on"
-        f" **{time_gain}/16** — decisively on the clique-heavy ones ({heavy_txt} in"
-        " this run), within measurement noise on the light ones (whole runs of"
-        " 0.1–0.5 s). The b0/b ratios land in 19–40% vs the paper's graph-dependent"
+        f" **{time_gain}/16**. From t=0 to t=3 the wall time of the clique-heavy"
+        f" ones changes by {heavy_txt} in this single-run sweep; on the light ones"
+        " (whole runs of 0.1–0.5 s) the difference is within measurement noise."
+        " The b0/b ratios land in 19–40% vs the paper's graph-dependent"
         " 5–85%: absolute ratios are a property of where each graph's t-plex branches"
         " sit relative to non-empty exclusion sets, which our 2-plex-community"
         " surrogates do not replicate graph-by-graph; the reproduced behaviour is"
@@ -346,10 +349,10 @@ FOOTER = """## Summary of shape reproduction
 
 | Paper claim | Status here |
 |---|---|
-| Maximal clique sets identical across all 11 algorithm configurations | ✅ asserted in every table run + ~550 tests |
+| Maximal clique sets identical across all 12 named algorithm configurations | ✅ asserted in every table run + ~600 tests |
 | τ < δ on all graphs; condition δ≥max(3,τ+3lnρ/ln3) holds for most | ✅ 13/16 surrogates (paper: 13/16 of these graphs) |
 | HBBMC++ beats VBBMC baselines | ⚠️ reproduced in #calls (fewest branches on most datasets); **inverted in wall time** on the Python substrate (flat per-call cost hides branch-width savings; see Table II note) |
-| ET (t=3) reduces branches and time; larger t better | ✅ #calls monotone in t on ~all datasets; time gains concentrate on clique-heavy graphs (DG/OR/CN), as in the paper's big graphs |
+| ET (t=3) reduces branches and time; larger t better | ✅ #calls monotone in t on ~all datasets; time gains concentrate on clique-heavy graphs, as in the paper's big graphs (single-run timings: the Table V note gives this run's DG/OR change) |
 | d=1 (edge-oriented only at the root) is optimal | ✅ fastest on ~all datasets; steep growth with d on clique-rich graphs |
 | Truss ordering beats dgn/mdg edge orderings | ⚠️ the τ branch-width guarantee is verified and clique sets are identical, but min-degree ordering yields fewer *average* branches on these surrogates, so the paper's time ranking inverts (Table VI note) |
 | ET ratio b0/b below 100% yet ET removes most branches | ✅ qualitatively; absolute ratios are graph-specific and differ (Table V note) |

@@ -156,7 +156,8 @@ def enumerate_tplex(
     vertices: Sequence[int], nonadj: dict[int, list[int]]
 ) -> Iterator[list[int]]:
     """Yield every maximal clique of a candidate graph whose inverse graph is
-    ``nonadj`` (max degree <= 2), as sorted vertex lists. Algorithm 8.
+    ``nonadj`` (max degree <= 2), as sorted vertex lists. Algorithm 8; a
+    2-plex (Algorithm 5) is the case where every path has two vertices.
 
     Output size is exactly prod(component choice counts), i.e. proportional
     to the number of maximal cliques — the paper's "nearly optimal" bound.
@@ -176,30 +177,3 @@ def enumerate_tplex(
             clique.extend(part)
         yield sorted(clique)
 
-
-def enumerate_two_plex(
-    vertices: Sequence[int], nonadj: dict[int, list[int]]
-) -> Iterator[list[int]]:
-    """Paper's Algorithm 5, kept separate for fidelity: in a 2-plex the
-    inverse graph is a perfect matching over L ∪ R plus isolated F, and the
-    2^{|L|} maximal cliques are F plus one endpoint per matched pair.
-
-    (``enumerate_tplex`` subsumes this — pairs are paths of length 2 — and
-    tests assert both produce identical output.)
-    """
-    F = [v for v in vertices if not nonadj[v]]
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for v in sorted(vertices):
-        if v in seen or not nonadj[v]:
-            continue
-        if len(nonadj[v]) != 1:
-            raise ValueError("not a 2-plex")
-        u = nonadj[v][0]
-        seen.update((v, u))
-        pairs.append((v, u))
-    for num in range(2 ** len(pairs)):
-        clique = list(F)
-        for i, (l, r) in enumerate(pairs):
-            clique.append(l if (num >> i) & 1 == 0 else r)
-        yield sorted(clique)

@@ -67,7 +67,6 @@ class Enumerator:
         et_t: int = 0,
         blocked: set[frozenset[int]] | None = None,
         collect: bool = True,
-        on_clique: Callable[[tuple[int, ...]], None] | None = None,
     ):
         self.adj = adj
         self.rank = rank
@@ -75,7 +74,6 @@ class Enumerator:
         self.blocked = blocked or set()
         self.stats = BranchStats()
         self.out: list[tuple[int, ...]] | None = [] if collect else None
-        self.on_clique = on_clique
         # Rank threshold of the enclosing edge-oriented branch (None outside
         # one); set/restored by repro.core.hbbmc._ebb around kernel calls.
         self.cur_r: int | None = None
@@ -92,8 +90,6 @@ class Enumerator:
         self.stats.cliques += 1
         if self.out is not None:
             self.out.append(c)
-        if self.on_clique is not None:
-            self.on_clique(c)
 
     # -- helpers -----------------------------------------------------------
     def _single_candidate(self, S: list[int], C: set[int], X: set[int]) -> None:

@@ -10,9 +10,7 @@ These are the *exact* greedy peels the paper's bounds rely on:
   The largest support seen at removal time is ``tau`` (< delta); in HBBMC the
   candidate graph of every root edge branch has at most ``tau`` vertices.
 
-Distributed DataFrame counterparts (core/truss *numbers*, not orders) live in
-``repro.analytics``; the kernels need the exact sequential orders, which are
-inherently driver-side.
+Table I's delta and tau come from these peels too.
 """
 from __future__ import annotations
 
@@ -81,16 +79,20 @@ def truss_order(g: LocalGraph) -> TrussResult:
     induced by the not-yet-peeled edges. Ties break first-in first-out
     (below), so the order depends only on the edge set, not on the order
     the graph was built in. ``truss[e]`` is the classic truss number
-    (max-support-so-far at removal + 2), matching the distributed
-    decomposition in ``repro.analytics.truss``.
+    (max-support-so-far at removal + 2).
     """
-    adj = {v: set(nbrs) for v, nbrs in g.adj.items()}
     # Integer-encode edges (u * span + v, u < v) so the hot peel loop hashes
-    # ints, not tuples.
+    # ints, not tuples. The peel runs on ids shifted by the minimum id, so
+    # negative ids encode too; the shift is monotone, so ties break exactly
+    # as on the original ids.
+    lo = min(g.adj, default=0)
+    adj = {v - lo: {w - lo for w in nbrs} for v, nbrs in g.adj.items()}
     span = (max(adj) + 1) if adj else 1
     sup: dict[int, int] = {}
-    for u, v in g.edges():
-        sup[u * span + v] = len(adj[u] & adj[v])
+    for u, au in adj.items():
+        for v in au:
+            if u < v:
+                sup[u * span + v] = len(au & adj[v])
     # Bucket queue over support values; each bucket is an insertion-ordered
     # dict used as a set, so peeling is O(m + #triangles) and deterministic:
     # edges enter buckets in sorted order, move buckets in sorted order of
@@ -133,9 +135,9 @@ def truss_order(g: LocalGraph) -> TrussResult:
                     cur = sf - 1
         au.discard(v)
         av.discard(u)
-    order = [divmod(e, span) for e in order_codes]
+    order = [(u + lo, v + lo) for u, v in (divmod(e, span) for e in order_codes)]
     rank = {e: i for i, e in enumerate(order)}
-    truss = {divmod(e, span): t for e, t in truss_codes.items()}
+    truss = {e: truss_codes[c] for e, c in zip(order, order_codes)}
     return TrussResult(order=order, rank=rank, tau=tau, truss=truss)
 
 

@@ -24,6 +24,7 @@ GRAPHS = [
     ("social", lambda s: to_local(
         social_edges(50, 3, s, caves=(3, 9, 4), core=(18, 0.4), bicore=(8, 8, 0.5))
     )),
+    ("er-negative-ids", lambda s: to_local(er_edges(25, 200, s) - 12)),
 ]
 
 

@@ -60,13 +60,6 @@ def test_emit_respects_blocked_sets():
     assert enum.stats.cliques == 1
 
 
-def test_emit_on_clique_callback():
-    seen = []
-    enum = Enumerator({}, collect=False, on_clique=seen.append)
-    enum.emit([2, 1])
-    assert seen == [(1, 2)] and enum.out is None
-
-
 def test_et_counters_on_clique_branch():
     """A clique candidate graph with empty X is a 1-plex branch: ET must
     apply and emit exactly one clique without recursion."""
